@@ -43,3 +43,20 @@ func BenchmarkSolveMemoWarm(b *testing.B) {
 		m.Solve(pool, reqs)
 	}
 }
+
+// BenchmarkMemoKeyWide measures key construction for a 100-class pool in
+// descending-capacity order — one class per distinct facility, as
+// GrandValue, Value on distinct facilities and PrefixSolver's fallback
+// Lookup build it — the worst case for an insertion sort.
+func BenchmarkMemoKeyWide(b *testing.B) {
+	pool := Pool{Classes: make([]Class, 100)}
+	for c := range pool.Classes {
+		pool.Classes[c] = Class{Label: "f", Count: 5 + c%7, Capacity: float64(200 - c)}
+	}
+	reqs := memoTestReqs(40, 10)
+	s := &memoScratch{}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		memoKey(s, pool, reqs)
+	}
+}

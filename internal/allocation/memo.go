@@ -1,9 +1,11 @@
 package allocation
 
 import (
+	"cmp"
 	"encoding/binary"
 	"hash/maphash"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -30,7 +32,10 @@ import (
 const memoStripes = 64
 
 // memoMaxEntries bounds the process-wide table; beyond it, misses still
-// solve but are no longer inserted (the figure workloads stay far below).
+// solve but are no longer inserted. The figure workloads stay far below
+// it, but a long-lived process sampling 100+-facility federations (the
+// benchmark's sweep-large workload) fills it within seconds, and the
+// full table then costs GC scan time while serving very few hits.
 const memoMaxEntries = 1 << 18
 
 // MemoStats is a snapshot of a memo table's counters.
@@ -206,21 +211,22 @@ func memoKey(s *memoScratch, pool Pool, reqs []Request) bool {
 	for i := range perm {
 		perm[i] = i
 	}
-	classLess := func(a, b Class) bool {
-		if a.Capacity != b.Capacity {
-			return a.Capacity < b.Capacity
+	// Stable, so classes with equal (Capacity, Count) keep their input
+	// order and keys and permutations are reproducible. O(n log n): wide
+	// pools (one class per distinct facility) arrive in descending
+	// capacity order, the worst case of an insertion sort.
+	slices.SortStableFunc(perm, func(a, b int) int {
+		ca, cb := &pool.Classes[a], &pool.Classes[b]
+		if c := cmp.Compare(ca.Capacity, cb.Capacity); c != 0 {
+			return c
 		}
-		return a.Count < b.Count
-	}
-	// Insertion sort: class counts are small (one per facility) and this
-	// avoids sort.Slice's closure allocation on the hot path.
+		return cmp.Compare(ca.Count, cb.Count)
+	})
 	identity := true
-	for i := 1; i < nc; i++ {
-		j := i
-		for j > 0 && classLess(pool.Classes[perm[j]], pool.Classes[perm[j-1]]) {
-			perm[j], perm[j-1] = perm[j-1], perm[j]
-			j--
+	for k, i := range perm {
+		if k != i {
 			identity = false
+			break
 		}
 	}
 	buf := s.buf[:0]

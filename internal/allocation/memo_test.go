@@ -1,8 +1,10 @@
 package allocation
 
 import (
+	"cmp"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -182,5 +184,54 @@ func TestMemoConcurrent(t *testing.T) {
 	}
 	if s := m.Stats(); s.Hits+s.Misses != 8*200 {
 		t.Fatalf("lost lookups: %+v", s)
+	}
+}
+
+// insertionMemoOrder is the canonical class order memoKey used to build
+// with an insertion sort: ascending (Capacity, Count), ties in input order.
+// It is kept as the reference for the stable sort that replaced it.
+func insertionMemoOrder(pool Pool) (perm []int, identity bool) {
+	perm = make([]int, len(pool.Classes))
+	for i := range perm {
+		perm[i] = i
+	}
+	less := func(a, b Class) bool {
+		if a.Capacity != b.Capacity {
+			return a.Capacity < b.Capacity
+		}
+		return a.Count < b.Count
+	}
+	identity = true
+	for i := 1; i < len(perm); i++ {
+		for j := i; j > 0 && less(pool.Classes[perm[j]], pool.Classes[perm[j-1]]); j-- {
+			perm[j], perm[j-1] = perm[j-1], perm[j]
+			identity = false
+		}
+	}
+	return perm, identity
+}
+
+// TestMemoKeyOrderMatchesInsertionSort checks that memoKey's canonical
+// permutation and identity flag are those of the former insertion sort on
+// random pools dense in (Capacity, Count) ties, so every key stays
+// byte-identical.
+func TestMemoKeyOrderMatchesInsertionSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1208))
+	s := &memoScratch{}
+	reqs := memoTestReqs(3, 1)
+	for trial := 0; trial < 5000; trial++ {
+		pool := Pool{Classes: make([]Class, rng.Intn(40))}
+		for c := range pool.Classes {
+			pool.Classes[c] = Class{Label: "c", Count: rng.Intn(4), Capacity: float64(rng.Intn(5)) / 2}
+		}
+		if trial%4 == 0 {
+			slices.SortFunc(pool.Classes, func(a, b Class) int { return cmp.Compare(b.Capacity, a.Capacity) })
+		}
+		wantPerm, wantIdentity := insertionMemoOrder(pool)
+		gotIdentity := memoKey(s, pool, reqs)
+		if gotIdentity != wantIdentity || !slices.Equal(s.perm, wantPerm) {
+			t.Fatalf("trial %d: perm %v identity %v, insertion sort gives %v %v (pool %+v)",
+				trial, s.perm, gotIdentity, wantPerm, wantIdentity, pool.Classes)
+		}
 	}
 }

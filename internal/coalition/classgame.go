@@ -51,6 +51,11 @@ func (cs *ClassStructure) Validate() error {
 		if m <= 0 {
 			return fmt.Errorf("coalition: class %d has non-positive multiplicity %d", j, m)
 		}
+		if m > math.MaxUint16 {
+			// classMemberGame keys its memo on uint16 counts; a larger
+			// count would alias another count vector's entry.
+			return fmt.Errorf("coalition: class %d multiplicity %d exceeds %d", j, m, math.MaxUint16)
+		}
 		total += m
 	}
 	if total != len(cs.ClassOf) {
@@ -218,7 +223,7 @@ type classMemberGame struct {
 }
 
 // MemberGame returns the collapsed game as a sampler-ready MemberGame with
-// a fresh value memo.
+// a fresh value memo. The structure must pass Validate.
 func (cs *ClassStructure) MemberGame() MemberGame {
 	g := &classMemberGame{cs: cs, seed: maphash.MakeSeed()}
 	for i := range g.tables {
@@ -272,6 +277,8 @@ func (v *classPrefixValuer) Extend(p int) float64 {
 
 // valueCounts returns the collapsed game's value for a count vector
 // through the striped memo; key is a caller-provided 2·K-byte scratch.
+// Counts fit the uint16 encoding because Validate bounds every
+// multiplicity.
 func (g *classMemberGame) valueCounts(counts []int, key []byte) float64 {
 	for j, c := range counts {
 		binary.LittleEndian.PutUint16(key[2*j:], uint16(c))

@@ -135,11 +135,18 @@ func TestClassStructureValidate(t *testing.T) {
 		{"sum mismatch", ClassStructure{Mult: []int{2}, ClassOf: []int{0}, Value: ok}, "sum to"},
 		{"unknown class", ClassStructure{Mult: []int{1}, ClassOf: []int{3}, Value: ok}, "unknown class"},
 		{"miscounted class", ClassStructure{Mult: []int{1, 1}, ClassOf: []int{0, 0}, Value: ok}, "assigned players"},
+		// The collapsed game's memo encodes counts as uint16: a class of
+		// 65536 players would alias its full count onto the empty one.
+		{"uint16 overflow", ClassStructure{Mult: []int{math.MaxUint16 + 1}, ClassOf: make([]int, math.MaxUint16+1), Value: ok}, "exceeds 65535"},
 	}
 	for _, tc := range cases {
 		if err := tc.cs.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want substring %q", tc.name, err, tc.want)
 		}
+	}
+	largest := ClassStructure{Mult: []int{math.MaxUint16}, ClassOf: make([]int, math.MaxUint16), Value: ok}
+	if err := largest.Validate(); err != nil {
+		t.Errorf("multiplicity %d should validate: %v", math.MaxUint16, err)
 	}
 }
 

@@ -120,10 +120,15 @@ func Values(g MemberGame, opt Options) (*ValueResult, error) {
 			st = cs.ClassStructure()
 		}
 	}
-	// A partition that does not actually collapse anything buys no exact
-	// feasibility and no pooling; treat it as unstructured.
-	if st != nil && st.K() >= n {
-		st = nil
+	if st != nil {
+		if err := st.Validate(); err != nil {
+			return nil, err
+		}
+		// A partition that does not actually collapse anything buys no
+		// exact feasibility and no pooling; treat it as unstructured.
+		if st.K() >= n {
+			st = nil
+		}
 	}
 
 	if st != nil && method != MethodApprox && st.States() <= exactClassMaxStates {

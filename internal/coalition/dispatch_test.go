@@ -37,6 +37,19 @@ func bigClassGame(n, k int) structuredMemberGame {
 	return structuredMemberGame{MemberGame: st.MemberGame(), st: st}
 }
 
+// TestValuesRejectsOversizedClass checks that the sampled-collapse path
+// validates the structure before keying its uint16 count memo.
+func TestValuesRejectsOversizedClass(t *testing.T) {
+	g := bigClassGame(2*(math.MaxUint16+1), 2)
+	g.st.Value = func([]int) float64 { panic("oversized class structure reached the value function") }
+	for _, method := range []Method{MethodAuto, MethodApprox} {
+		_, err := Values(g, Options{Method: method, Samples: 8, Seed: 1})
+		if err == nil || !strings.Contains(err.Error(), "exceeds 65535") {
+			t.Errorf("method %s: error %v, want the multiplicity bound", method, err)
+		}
+	}
+}
+
 func TestValuesPicksKernelForSmallGames(t *testing.T) {
 	tab := randomMonotoneTable(t, 8, 5)
 	res, err := Values(AsMemberGameTable(tab), Options{})

@@ -5,9 +5,11 @@ import (
 	"strings"
 	"testing"
 
+	"fedshare/internal/allocation"
 	"fedshare/internal/coalition"
 	"fedshare/internal/combin"
 	"fedshare/internal/economics"
+	"fedshare/internal/stats"
 )
 
 // heteroModel builds an n-facility federation drawn from k facility
@@ -231,5 +233,85 @@ func TestApproxPolicyRelativeCITarget(t *testing.T) {
 	}
 	if _, err := (ApproxShapleyPolicy{CITarget: -1}).Shares(m); err == nil {
 		t.Error("negative CI target accepted")
+	}
+}
+
+// TestClassValueMatchesValueMembers checks the collapsed characteristic
+// function, which merges each run of adjacent replicas into one pool
+// class, against ValueMembers and against an unmemoized solve of the
+// one-class-per-facility pool, bit for bit. Template 1 has template 0's
+// effective capacity (2·0.5 = 1) but fewer locations, so the two stay
+// apart; template 3 differs from template 2 only in cost, so their
+// replicas share a class. The elastic (d < 1) plus strict (d > 1)
+// workload runs the greedy engine; the linear batch runs the analytic one.
+func TestClassValueMatchesValueMembers(t *testing.T) {
+	mixed, err := economics.NewWorkload(
+		economics.DemandClass{Type: economics.ExperimentType{
+			Name: "elastic", MinLocations: 2, MaxLocations: math.Inf(1),
+			Resources: 1, HoldingTime: 1, Shape: 0.7,
+		}, Count: 4},
+		economics.DemandClass{Type: economics.ExperimentType{
+			Name: "strict", MinLocations: 12, MaxLocations: 30,
+			Resources: 1, HoldingTime: 1, Shape: 1.4, Strict: true,
+		}, Count: 2},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	linear, err := economics.NewWorkload(economics.DemandClass{Type: economics.ExperimentType{
+		Name: "batch", MinLocations: 20, MaxLocations: math.Inf(1),
+		Resources: 1, HoldingTime: 1, Shape: 1,
+	}, Count: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	templates := []Facility{
+		{Locations: 3, Resources: 1},
+		{Locations: 1, Resources: 2, Availability: 0.5},
+		{Locations: 2, Resources: 2},
+		{Locations: 2, Resources: 2, Cost: economics.Cost{Fixed: 1}},
+		{Locations: 4, Resources: 3},
+		{Locations: 0, Resources: 5},
+	}
+	rng := stats.NewRand(1209)
+	for _, wl := range []*economics.Workload{mixed, linear} {
+		fs := make([]Facility, 36)
+		for i := range fs {
+			fs[i] = templates[i%len(templates)]
+			fs[i].Name = fsName(i, i%len(templates))
+		}
+		m, err := NewModel(fs, wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Mu = 0.8
+		cs := m.ClassStructure()
+		if cs.K() != len(templates) {
+			t.Fatalf("detected %d classes, want %d", cs.K(), len(templates))
+		}
+		groups := cs.Groups()
+		counts := make([]int, cs.K())
+		for trial := 0; trial < 400; trial++ {
+			var members []int
+			var replicas []allocation.Class
+			for j, g := range groups {
+				counts[j] = rng.Intn(len(g) + 1)
+				rng.Shuffle(len(g), func(a, b int) { g[a], g[b] = g[b], g[a] })
+				for _, i := range g[:counts[j]] {
+					members = append(members, i)
+					if f := fs[i]; f.Locations > 0 {
+						replicas = append(replicas, allocation.Class{Label: f.Name, Count: f.Locations, Capacity: f.EffectiveCapacity()})
+					}
+				}
+			}
+			got := cs.Value(counts)
+			if direct := m.ValueMembers(members); got != direct {
+				t.Fatalf("%s, counts %v: collapsed %v, ValueMembers %v", wl.Classes[0].Type.Name, counts, got, direct)
+			}
+			want := m.muFactor() * allocation.Solve(allocation.Pool{Classes: replicas}, m.requests()).Utility
+			if got != want {
+				t.Fatalf("%s, counts %v: collapsed %v, per-facility solve %v", wl.Classes[0].Type.Name, counts, got, want)
+			}
+		}
 	}
 }

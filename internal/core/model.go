@@ -277,44 +277,74 @@ func (m *Model) Value(s combin.Set) float64 {
 	}
 	if m.Overlap == nil {
 		// Disjoint coverage: build only the pool, skipping poolFor's
-		// per-class ownership attribution, which Value never reads. The
-		// class slice comes from a scratch pool — the solver and the memo
-		// read it by value and never retain it.
-		scratch := classScratchPool.Get().(*[]allocation.Class)
-		classes := (*scratch)[:0]
-		for i := range m.Facilities {
-			f := &m.Facilities[i]
-			if !s.Contains(i) || f.Locations == 0 {
-				continue
+		// per-class ownership attribution, which Value never reads.
+		return m.valuePool(func(p *replicaPool) {
+			for i := range m.Facilities {
+				if s.Contains(i) {
+					p.add(&m.Facilities[i], 1)
+				}
 			}
-			classes = append(classes, allocation.Class{
-				Label:    f.Name,
-				Count:    f.Locations,
-				Capacity: f.EffectiveCapacity(),
-			})
-		}
-		res := allocation.SolveCached(allocation.Pool{Classes: classes}, m.requests())
-		*scratch = classes
-		classScratchPool.Put(scratch)
-		return m.muFactor() * res.Utility
+		})
 	}
 	p := m.poolFor(s)
 	res := m.solve(p.pool)
 	return m.muFactor() * res.Utility
 }
 
-// classScratchPool recycles the per-coalition class slices Value builds.
-var classScratchPool = sync.Pool{New: func() any { return new([]allocation.Class) }}
+// replicaPool is a utility-only allocation pool under construction. It
+// holds one class per run of adjacent replicas — facilities with equal
+// location counts and per-location capacity — so c replicas of a template
+// with L locations of capacity R are the single class {c·L, R}. Every
+// engine reads such a pool only through its location list (the analytic
+// and fast engines through Σ Count_c·min(⌊R_c/r⌋, m), the greedy engine
+// through the locations in class order, never their class index), so the
+// merge leaves Utility and X bit-identical while a templated federation's
+// pool shrinks from one class per facility to one per template.
+// Attribution (poolFor, solve) keeps one class per facility.
+type replicaPool struct {
+	classes []allocation.Class
+	last    *Facility // a facility whose replicas the last class holds
+}
+
+// add appends the locations of `replicas` copies of facility f.
+func (p *replicaPool) add(f *Facility, replicas int) {
+	if f.Locations == 0 || replicas == 0 {
+		return
+	}
+	count, capacity := replicas*f.Locations, f.EffectiveCapacity()
+	if n := len(p.classes); n > 0 && p.last.Locations == f.Locations && p.classes[n-1].Capacity == capacity {
+		p.classes[n-1].Count += count
+		return
+	}
+	p.classes = append(p.classes, allocation.Class{Label: f.Name, Count: count, Capacity: capacity})
+	p.last = f
+}
+
+// replicaPools recycles the pools valuePool builds.
+var replicaPools = sync.Pool{New: func() any { return new(replicaPool) }}
+
+// valuePool is the shared tail of the utility-only characteristic
+// functions (Value on disjoint models, ValueMembers, the collapsed class
+// game): build adds the coalition's facilities to a recycled pool, which
+// is solved through the allocation memo. The solver and the memo read the
+// class slice by value and never retain it.
+func (m *Model) valuePool(build func(p *replicaPool)) float64 {
+	p := replicaPools.Get().(*replicaPool)
+	p.classes, p.last = p.classes[:0], nil
+	build(p)
+	res := allocation.SolveCached(allocation.Pool{Classes: p.classes}, m.requests())
+	replicaPools.Put(p)
+	return m.muFactor() * res.Utility
+}
 
 // ValueMembers is the characteristic function over an explicit member list
 // — the large-n tier of the federation game (coalition.MemberGame). It is
 // exactly Value(S) for the coalition S listing the given facilities, but
 // free of the 64-facility bitmask bound; the sampling Shapley engines walk
 // permutation prefixes through it. Disjoint-coverage models build the pool
-// straight from the member list (the allocation memo's canonical class
-// ordering makes the result independent of member order); overlap models —
-// which NewModel and WithOverlap keep within the bitmask bound — route
-// through Value.
+// straight from the member list, one class per run of adjacent replicas
+// (replicaPool); overlap models — which NewModel and WithOverlap keep
+// within the bitmask bound — route through Value.
 func (m *Model) ValueMembers(members []int) float64 {
 	if len(members) == 0 {
 		return 0
@@ -326,23 +356,11 @@ func (m *Model) ValueMembers(members []int) float64 {
 		}
 		return m.Value(s)
 	}
-	scratch := classScratchPool.Get().(*[]allocation.Class)
-	classes := (*scratch)[:0]
-	for _, i := range members {
-		f := &m.Facilities[i]
-		if f.Locations == 0 {
-			continue
+	return m.valuePool(func(p *replicaPool) {
+		for _, i := range members {
+			p.add(&m.Facilities[i], 1)
 		}
-		classes = append(classes, allocation.Class{
-			Label:    f.Name,
-			Count:    f.Locations,
-			Capacity: f.EffectiveCapacity(),
-		})
-	}
-	res := allocation.SolveCached(allocation.Pool{Classes: classes}, m.requests())
-	*scratch = classes
-	classScratchPool.Put(scratch)
-	return m.muFactor() * res.Utility
+	})
 }
 
 // classSignature is the interchangeability key of a facility: two
@@ -361,9 +379,13 @@ type classSignature struct {
 // the symmetry-collapsing Shapley engines (coalition.ClassStructured). It
 // returns nil for overlap models: there, facilities with equal parameters
 // still cover different concrete locations, so they are not symmetric. The
-// collapsed characteristic function builds one pool class per facility
-// replica — the same classes Value builds — so collapsed and direct solves
-// share the allocation memo's canonical entries bit-for-bit.
+// collapsed characteristic function builds one pool class per template —
+// c replicas with L locations of capacity R are the single class {c·L, R}
+// (replicaPool; adjacent templates that differ only in fields the value
+// never reads, such as cost, share one) — so its memo key and solve cost
+// scale with the template count, not the facility count. The pool, and with it the value, is
+// identical to ValueMembers over the same replicas listed template by
+// template.
 func (m *Model) ClassStructure() *coalition.ClassStructure {
 	if m.Overlap != nil {
 		return nil
@@ -393,25 +415,11 @@ func (m *Model) ClassStructure() *coalition.ClassStructure {
 		Mult:    mult,
 		ClassOf: classOf,
 		Value: func(counts []int) float64 {
-			scratch := classScratchPool.Get().(*[]allocation.Class)
-			classes := (*scratch)[:0]
-			for j, c := range counts {
-				f := &m.Facilities[reps[j]]
-				if f.Locations == 0 {
-					continue
+			return m.valuePool(func(p *replicaPool) {
+				for j, c := range counts {
+					p.add(&m.Facilities[reps[j]], c)
 				}
-				for r := 0; r < c; r++ {
-					classes = append(classes, allocation.Class{
-						Label:    f.Name,
-						Count:    f.Locations,
-						Capacity: f.EffectiveCapacity(),
-					})
-				}
-			}
-			res := allocation.SolveCached(allocation.Pool{Classes: classes}, m.requests())
-			*scratch = classes
-			classScratchPool.Put(scratch)
-			return m.muFactor() * res.Utility
+			})
 		},
 	}
 }
