@@ -53,10 +53,11 @@ type DurableStore struct {
 	source func() State
 }
 
-// OpenDurableStore opens (or creates) the store in opts.Dir and recovers
-// the durable server state: the newest valid snapshot plus the replayed
-// log suffix, tolerating a torn tail. The returned State is what the
-// server must Restore before Start; it is nil only for a fresh directory.
+// OpenDurableStore opens (or creates) the store in opts.Dir and reads back
+// the durable server state: the newest valid snapshot plus the log records
+// written after it, tolerating a torn tail. The returned State is what the
+// server must Restore before Start, which replays those records; it is nil
+// only for a fresh directory.
 func OpenDurableStore(opts DurableOptions) (*DurableStore, *State, error) {
 	opts = opts.withDefaults()
 	l, rec, err := wal.Open(wal.Options{
@@ -82,12 +83,8 @@ func OpenDurableStore(opts DurableOptions) (*DurableStore, *State, error) {
 			_ = l.Close()
 			return nil, nil, fmt.Errorf("sfa: decode wal record %d: %w", r.Seq, err)
 		}
-		if err := st.applyRecord(mrec); err != nil {
-			_ = l.Close()
-			return nil, nil, fmt.Errorf("sfa: replay wal record %d: %w", r.Seq, err)
-		}
+		st.tail = append(st.tail, mrec)
 	}
-	st.canonicalize()
 	d := &DurableStore{log: l, every: opts.SnapshotEvery, logf: opts.Logf}
 	if d.logf == nil {
 		d.logf = func(string, ...interface{}) {}

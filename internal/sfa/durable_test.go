@@ -39,7 +39,7 @@ func durableServer(t *testing.T, dir string, snapshotEvery int, clock *fakeClock
 // and deletion, and lease expiry via the reaper — against srv. The same
 // sequence applied to two servers with the same topology and clock must
 // leave them in identical durable state.
-func driveLifecycle(t *testing.T, srv *Server, clock *fakeClock) {
+func driveLifecycle(t testing.TB, srv *Server, clock *fakeClock) {
 	t.Helper()
 	reserve := func(slice, key string, sites, per int, ttl float64) *ReserveResponse {
 		t.Helper()

@@ -64,6 +64,9 @@ type healthTracker struct {
 	probeInterval time.Duration
 	rng           *stats.Rand
 	peers         map[string]*peerHealth
+	// resumed is set by a server that restored durable state, before it
+	// meets any peer (see ensure).
+	resumed bool
 	// onTransition observes every state change (invoked under mu — it must
 	// not call back into the tracker). The server uses it to drive the
 	// peer-state gauge and transition log lines.
@@ -106,6 +109,10 @@ func (h *healthTracker) setStateLocked(name string, p *peerHealth, to PeerState,
 
 // ensure registers a peer as healthy. Re-peering resets an existing entry:
 // a fresh peering handshake just round-tripped, so the peer is reachable.
+// After a restore, a newly met peer instead starts down with its probe due
+// at once: the crash may have lost the commit of a slice whose slivers the
+// peer already holds, and only the reconcile that the probe starts (down →
+// recovering) retires such orphans before the peer is readmitted.
 func (h *healthTracker) ensure(name string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -113,10 +120,14 @@ func (h *healthTracker) ensure(name string) {
 	p, ok := h.peers[name]
 	if !ok {
 		p = &peerHealth{state: PeerHealthy, since: now, lastSeen: now}
+		if h.resumed {
+			p.state, p.nextProbe = PeerDown, now
+		} else {
+			h.scheduleProbeLocked(p, now)
+		}
 		h.peers[name] = p
-		h.scheduleProbeLocked(p, now)
 		if h.onTransition != nil {
-			h.onTransition(name, PeerHealthy, PeerHealthy)
+			h.onTransition(name, p.state, p.state)
 		}
 		return
 	}

@@ -2,7 +2,6 @@ package sfa
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"fedshare/internal/planetlab"
@@ -17,17 +16,21 @@ type dedupEntry struct {
 	done     chan struct{}
 	resp     interface{}
 	errMsg   string
-	complete atomic.Bool
+	complete bool // guarded by the table's mu
 }
 
 // dedupTable is a bounded idempotency-key table. Eviction is FIFO over
-// completed entries, so a misbehaving client cannot grow it without bound
-// while in-flight requests are never dropped mid-execution.
+// completed entries in completion order, so a misbehaving client cannot
+// grow it without bound while in-flight requests are never dropped
+// mid-execution. With a store, outcomes complete under durableMu right
+// after their record is appended, so completion order is log order and a
+// server recovered by replaying the log evicts exactly the keys the
+// crashed one did.
 type dedupTable struct {
 	mu       sync.Mutex
 	capLimit int
 	entries  map[string]*dedupEntry
-	order    []string
+	order    []string // completed keys, oldest first
 }
 
 func newDedupTable(capLimit int) *dedupTable {
@@ -35,9 +38,9 @@ func newDedupTable(capLimit int) *dedupTable {
 }
 
 // claim returns the entry for key. claimed is true when this caller owns
-// execution and must fill the entry via finish; false means another request
-// already executed (or is executing) the key — wait on entry.done and
-// replay.
+// execution and must settle the entry via complete or abandon; false means
+// another request already executed (or is executing) the key — wait on
+// entry.done and replay.
 func (d *dedupTable) claim(key string) (entry *dedupEntry, claimed bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -46,30 +49,52 @@ func (d *dedupTable) claim(key string) (entry *dedupEntry, claimed bool) {
 	}
 	e := &dedupEntry{done: make(chan struct{})}
 	d.entries[key] = e
-	d.order = append(d.order, key)
-	for len(d.entries) > d.capLimit {
-		evicted := false
-		for i, old := range d.order {
-			if e2, ok := d.entries[old]; ok && e2.complete.Load() {
-				delete(d.entries, old)
-				d.order = append(d.order[:i], d.order[i+1:]...)
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
-			break // everything in flight; allow temporary overshoot
-		}
-	}
+	d.evictLocked()
 	return e, true
 }
 
-// finish publishes the outcome and wakes replaying waiters.
-func (e *dedupEntry) finish(resp interface{}, errMsg string) {
-	e.resp = resp
-	e.errMsg = errMsg
-	e.complete.Store(true)
+// complete publishes key's outcome and wakes replaying waiters. It settles
+// the entry a live handler claimed, or installs a completed one when
+// recovery replays the key. A key that already completed keeps its first
+// outcome.
+func (d *dedupTable) complete(key string, resp interface{}, errMsg string) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	e, ok := d.entries[key]
+	if ok && e.complete {
+		return
+	}
+	if !ok {
+		e = &dedupEntry{done: make(chan struct{})}
+		d.entries[key] = e
+	}
+	e.resp, e.errMsg, e.complete = resp, errMsg, true
 	close(e.done)
+	d.order = append(d.order, key)
+	d.evictLocked()
+}
+
+// abandon forgets a claimed key whose request was refused before it
+// executed, so a retry executes instead of replaying the refusal. Waiters
+// already parked on the entry still receive errMsg.
+func (d *dedupTable) abandon(key string, e *dedupEntry, errMsg string) {
+	d.mu.Lock()
+	if d.entries[key] == e {
+		delete(d.entries, key)
+	}
+	d.mu.Unlock()
+	e.errMsg = errMsg
+	close(e.done)
+}
+
+// evictLocked drops the oldest completed keys while the table is over
+// capacity; when everything left is in flight it allows a temporary
+// overshoot. Caller holds d.mu.
+func (d *dedupTable) evictLocked() {
+	for len(d.entries) > d.capLimit && len(d.order) > 0 {
+		delete(d.entries, d.order[0])
+		d.order = d.order[1:]
+	}
 }
 
 // size reports the current number of remembered keys.
@@ -79,51 +104,18 @@ func (d *dedupTable) size() int {
 	return len(d.entries)
 }
 
-// restore installs an already-completed outcome recovered from durable
-// state. Existing entries win (live traffic may already have re-claimed
-// the key); capacity is enforced exactly as in claim.
-func (d *dedupTable) restore(key string, resp interface{}, errMsg string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, ok := d.entries[key]; ok {
-		return
-	}
-	e := &dedupEntry{done: make(chan struct{}), resp: resp, errMsg: errMsg}
-	e.complete.Store(true)
-	close(e.done)
-	d.entries[key] = e
-	d.order = append(d.order, key)
-	for len(d.entries) > d.capLimit {
-		evicted := false
-		for i, old := range d.order {
-			if e2, ok := d.entries[old]; ok && e2.complete.Load() {
-				delete(d.entries, old)
-				d.order = append(d.order[:i], d.order[i+1:]...)
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
-			break
-		}
-	}
-}
-
-// snapshot returns the completed entries in insertion (FIFO) order.
-// In-flight entries are skipped: their outcome record has not been
-// appended yet, so a snapshot cut now correctly omits them and the
-// record that follows re-creates them on replay.
+// snapshot returns the completed entries in completion order. In-flight
+// entries are skipped: their outcome record has not been appended yet, so
+// a snapshot cut now correctly omits them and the record that follows
+// re-creates them on replay.
 func (d *dedupTable) snapshot() []DedupState {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]DedupState, 0, len(d.entries))
+	out := make([]DedupState, 0, len(d.order))
 	for _, key := range d.order {
-		e, ok := d.entries[key]
-		if !ok || !e.complete.Load() {
-			continue
-		}
+		e := d.entries[key]
 		ds := DedupState{Key: key, Err: e.errMsg}
-		if rr, ok := e.resp.(*ReserveResponse); ok && rr != nil {
+		if rr, ok := e.resp.(*ReserveResponse); ok && len(rr.Slivers) > 0 {
 			ds.Slivers = rr.Slivers
 		}
 		out = append(out, ds)
@@ -217,12 +209,43 @@ func (lt *leaseTable) add(slice string, kind leaseKind, holder string, slivers [
 	lt.notifyLocked()
 }
 
-// remove drops the holding for slice (explicit delete).
-func (lt *leaseTable) remove(slice string) {
+// take removes and returns slice's holding (nil if there is none).
+func (lt *leaseTable) take(slice string) *serverLease {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
+	l := lt.leases[slice]
 	delete(lt.leases, slice)
 	lt.notifyLocked()
+	return l
+}
+
+// splitSlivers matches each requested sliver against at most one held
+// sliver: taken are the matches, rest what stays held.
+func splitSlivers(held, requested []planetlab.Sliver) (taken, rest []planetlab.Sliver) {
+	rest = append([]planetlab.Sliver(nil), held...)
+	for _, req := range requested {
+		for i, sv := range rest {
+			if sv.SiteID == req.SiteID && sv.NodeID == req.NodeID {
+				rest = append(rest[:i], rest[i+1:]...)
+				taken = append(taken, sv)
+				break
+			}
+		}
+	}
+	return taken, rest
+}
+
+// held returns the requested slivers that slice's reserve holding still
+// tracks — exactly what trim would remove, without removing it.
+func (lt *leaseTable) held(slice string, requested []planetlab.Sliver) []planetlab.Sliver {
+	lt.mu.Lock()
+	defer lt.mu.Unlock()
+	l, ok := lt.leases[slice]
+	if !ok || l.kind != leaseReserve {
+		return nil
+	}
+	taken, _ := splitSlivers(l.slivers, requested)
+	return taken
 }
 
 // trim removes the requested slivers from a reserve holding and returns the
@@ -237,16 +260,8 @@ func (lt *leaseTable) trim(slice string, requested []planetlab.Sliver) []planetl
 	if !ok || l.kind != leaseReserve {
 		return nil
 	}
-	var removed []planetlab.Sliver
-	for _, req := range requested {
-		for i, sv := range l.slivers {
-			if sv.SiteID == req.SiteID && sv.NodeID == req.NodeID {
-				l.slivers = append(l.slivers[:i], l.slivers[i+1:]...)
-				removed = append(removed, sv)
-				break
-			}
-		}
-	}
+	removed, rest := splitSlivers(l.slivers, requested)
+	l.slivers = rest
 	if len(l.slivers) == 0 {
 		delete(lt.leases, slice)
 	}
@@ -254,29 +269,19 @@ func (lt *leaseTable) trim(slice string, requested []planetlab.Sliver) []planetl
 	return removed
 }
 
-// expired removes and returns every leased holding whose expiry is at or
-// before now. Indefinite (zero-expiry) holdings are never reaped.
-func (lt *leaseTable) expired(now time.Time) []*serverLease {
+// due returns copies of every leased holding whose expiry is at or before
+// now, leaving them in place. Indefinite (zero-expiry) holdings are never
+// due.
+func (lt *leaseTable) due(now time.Time) []serverLease {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
-	var out []*serverLease
-	for name, l := range lt.leases {
+	var out []serverLease
+	for _, l := range lt.leases {
 		if l.leased() && !l.expiry.After(now) {
-			out = append(out, l)
-			delete(lt.leases, name)
+			out = append(out, *l)
 		}
 	}
-	lt.notifyLocked()
 	return out
-}
-
-// install sets a holding directly from recovered durable state,
-// replacing any existing entry for the slice.
-func (lt *leaseTable) install(slice string, kind leaseKind, holder string, slivers []planetlab.Sliver, expiry time.Time) {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	lt.leases[slice] = &serverLease{slice: slice, kind: kind, holder: holder, expiry: expiry, slivers: slivers}
-	lt.notifyLocked()
 }
 
 // holdingsFor returns deep copies of the reserve holdings owned by holder,

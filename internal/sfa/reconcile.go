@@ -114,11 +114,6 @@ func (s *Server) amendIntent(peer string, lost map[string][]SliverRecord) {
 				keep = append(keep, sv)
 			}
 		}
-		if len(keep) == 0 {
-			delete(s.remoteRefs, slice)
-		} else {
-			s.remoteRefs[slice] = keep
-		}
 		records = append(records, Record{Op: OpAmendRemote, Slice: slice, Remote: keep})
 	}
 	s.mu.Unlock()
@@ -127,6 +122,7 @@ func (s *Server) amendIntent(peer string, lost map[string][]SliverRecord) {
 		if err := s.storeAppend(rec); err != nil {
 			s.log.Errorf("sfa[%s]: wal append (amend %s): %v", s.auth.Name, rec.Slice, err)
 		}
+		_ = s.apply(rec)
 	}
 	s.storeUnlock()
 	s.metrics.reconcileDropped.Add(int64(dropped))

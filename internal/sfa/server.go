@@ -257,11 +257,15 @@ func (s *Server) storeAppend(rec Record) error {
 func (s *Server) nextGen() uint64 {
 	s.storeLock()
 	defer s.storeUnlock()
-	gen := s.seq.Add(1)
-	if err := s.storeAppend(Record{Op: OpGen, Gen: gen}); err != nil {
-		s.log.Errorf("sfa[%s]: wal append (gen %d): %v", s.auth.Name, gen, err)
+	// Drawing is the decision, and like placement it happens before the
+	// record exists: the atomic increment keeps concurrent memory-only
+	// draws unique, and apply raises the high-water mark in replay.
+	rec := Record{Op: OpGen, Gen: s.seq.Add(1)}
+	if err := s.storeAppend(rec); err != nil {
+		s.log.Errorf("sfa[%s]: wal append (gen %d): %v", s.auth.Name, rec.Gen, err)
 	}
-	return gen
+	_ = s.apply(rec)
+	return rec.Gen
 }
 
 // Start begins listening on addr ("127.0.0.1:0" for an ephemeral port) and
@@ -309,7 +313,9 @@ func (s *Server) reapLoop() {
 // how many it reaped. Local effects (freeing slivers, deleting slices) are
 // logged to the durable store under durableMu; remote releases happen
 // afterwards, outside the lock, because they draw generations and make
-// network calls.
+// network calls. Without a store there is no durableMu, so a reserve that
+// merges into a due holding between the due check and apply is released
+// with it.
 func (s *Server) reapExpiredLeases() int {
 	type pendingRemote struct {
 		slice   string
@@ -317,43 +323,41 @@ func (s *Server) reapExpiredLeases() int {
 	}
 	var remotes []pendingRemote
 	s.storeLock()
-	expired := s.leases.expired(s.cfg.Now())
-	for _, l := range expired {
-		// expired() already removed these holdings from the table, so a
-		// Release racing us finds nothing to trim and releases nothing;
-		// only this goroutine frees the slivers.
+	due := s.leases.due(s.cfg.Now())
+	for _, l := range due {
 		switch l.kind {
 		case leaseReserve:
-			s.auth.ReleaseSlivers(l.slivers)
 			s.log.Infof("sfa[%s]: lease expired for %s: released %d slivers",
 				s.auth.Name, l.slice, len(l.slivers))
 		case leaseSlice:
 			// Delete the slice exactly as an explicit DeleteSlice would:
 			// local slivers freed now, remote slivers released after the
 			// durable region.
-			if err := s.auth.DeleteSlice(l.slice); err != nil {
-				s.log.Errorf("sfa[%s]: lease expiry of slice %s: %v", s.auth.Name, l.slice, err)
-			}
-			s.mu.Lock()
-			remote := s.remoteRefs[l.slice]
-			delete(s.remoteRefs, l.slice)
-			s.mu.Unlock()
-			remotes = append(remotes, pendingRemote{slice: l.slice, slivers: remote})
+			remotes = append(remotes, pendingRemote{slice: l.slice, slivers: s.remoteRefsOf(l.slice)})
 			s.log.Infof("sfa[%s]: slice lease expired: %s", s.auth.Name, l.slice)
 		}
-		s.metrics.leasesExpired.Inc()
-		if err := s.storeAppend(Record{Op: OpExpire, Slice: l.slice, Kind: int(l.kind)}); err != nil {
+		rec := Record{Op: OpExpire, Slice: l.slice, Kind: int(l.kind)}
+		if err := s.storeAppend(rec); err != nil {
 			s.log.Errorf("sfa[%s]: wal append (expire %s): %v", s.auth.Name, l.slice, err)
 		}
+		_ = s.apply(rec)
+		s.metrics.leasesExpired.Inc()
 	}
 	s.storeUnlock()
 	for _, pr := range remotes {
 		s.releaseRemote(pr.slice, pr.slivers)
 	}
-	if len(expired) > 0 {
-		s.log.Debugf("sfa[%s]: reaper pass released %d expired leases", s.auth.Name, len(expired))
+	if len(due) > 0 {
+		s.log.Debugf("sfa[%s]: reaper pass released %d expired leases", s.auth.Name, len(due))
 	}
-	return len(expired)
+	return len(due)
+}
+
+// remoteRefsOf returns the slivers slice holds at peers.
+func (s *Server) remoteRefsOf(slice string) []SliverRecord {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.remoteRefs[slice]
 }
 
 // Addr returns the listening address (valid after Start).
@@ -843,12 +847,14 @@ func (s *Server) handleReserve(p ReserveRequest) (*ReserveResponse, error) {
 	if p.Sites <= 0 || p.PerSite <= 0 {
 		return nil, fmt.Errorf("reserve needs positive sites and per-site counts")
 	}
+	var key string
 	var entry *dedupEntry
 	if p.IdempotencyKey != "" {
 		// Keys are namespaced by method so a key accidentally reused
 		// across Reserve and Release can never replay the wrong method's
 		// cached outcome.
-		e, claimed := s.dedup.claim("reserve:" + p.IdempotencyKey)
+		key = "reserve:" + p.IdempotencyKey
+		e, claimed := s.dedup.claim(key)
 		if !claimed {
 			// A duplicate (retry after a lost response, or a concurrent
 			// twin): wait for the original execution and replay its
@@ -870,25 +876,7 @@ func (s *Server) handleReserve(p ReserveRequest) (*ReserveResponse, error) {
 		entry = e
 	}
 	s.storeLock()
-	resp, err := s.reserveLocked(p)
-	if entry != nil {
-		msg := ""
-		if err != nil {
-			msg = err.Error()
-		}
-		// Finish inside the durable region: any snapshot cut by a later
-		// append (which must wait for durableMu) already sees this entry
-		// completed, so a snapshot never silently drops a logged outcome.
-		entry.finish(resp, msg)
-	}
-	s.storeUnlock()
-	return resp, err
-}
-
-// reserveLocked performs the actual placement (exactly once per
-// idempotency key) and makes it durable. Caller holds durableMu via
-// storeLock.
-func (s *Server) reserveLocked(p ReserveRequest) (*ReserveResponse, error) {
+	defer s.storeUnlock()
 	candidates := s.auth.AvailableSites(p.PerSite)
 	if len(candidates) > p.Sites {
 		candidates = candidates[:p.Sites]
@@ -901,35 +889,31 @@ func (s *Server) reserveLocked(p ReserveRequest) (*ReserveResponse, error) {
 		}
 		placed = append(placed, svs...)
 	}
-	var expiry time.Time
-	if len(placed) > 0 {
-		// Track every holding, leased (TTL set, zero expiry means held
-		// indefinitely) or not, so Release can free exactly the slivers
-		// still held here and nothing else. The holder (credential
-		// subject) keys the anti-entropy ListHoldings read.
-		if p.TTLSeconds > 0 {
-			expiry = s.cfg.Now().Add(time.Duration(p.TTLSeconds * float64(time.Second)))
-		}
-		s.leases.add(p.SliceName, leaseReserve, p.Credential.Subject, placed, expiry)
+	// Every holding is tracked, leased (TTL set) or not, so Release can
+	// free exactly the slivers still held here and nothing else. The
+	// holder (credential subject) keys the anti-entropy ListHoldings read.
+	rec := Record{Op: OpReserve, Slice: p.SliceName, Holder: p.Credential.Subject,
+		Slivers: toRecords(s.auth.Name, placed), Key: key}
+	if len(placed) > 0 && p.TTLSeconds > 0 {
+		rec.Expiry = s.cfg.Now().Add(time.Duration(p.TTLSeconds * float64(time.Second))).UnixNano()
 	}
-	resp := &ReserveResponse{Slivers: toRecords(s.auth.Name, placed)}
-	if s.store != nil && (len(placed) > 0 || p.IdempotencyKey != "") {
-		rec := Record{Op: OpReserve, Slice: p.SliceName, Holder: p.Credential.Subject, Slivers: resp.Slivers}
-		if p.IdempotencyKey != "" {
-			rec.Key = "reserve:" + p.IdempotencyKey
-		}
-		if !expiry.IsZero() {
-			rec.Expiry = expiry.UnixNano()
-		}
-		if aerr := s.storeAppend(rec); aerr != nil {
-			// The memory state must never run ahead of the log: undo the
-			// placement so the client's retry re-executes against state the
-			// log can actually reproduce.
-			s.auth.ReleaseSlivers(s.leases.trim(p.SliceName, placed))
-			return nil, fmt.Errorf("durable log append: %v", aerr)
+	if len(placed) > 0 || key != "" {
+		if err := s.storeAppend(rec); err != nil {
+			// Memory must never run ahead of the log: return the placement
+			// and forget the key, so the client's retry executes afresh —
+			// just as it would against a server recovered from this log.
+			s.auth.ReleaseSlivers(placed)
+			err = fmt.Errorf("durable log append: %v", err)
+			if entry != nil {
+				s.dedup.abandon(key, entry, err.Error())
+			}
+			return nil, err
 		}
 	}
-	return resp, nil
+	// Completing the key inside the durable region means any snapshot cut
+	// by a later append (which must wait for durableMu) already sees it.
+	_ = s.apply(rec)
+	return &ReserveResponse{Slivers: rec.Slivers}, nil
 }
 
 // handleRelease frees locally held slivers of a federated slice. A keyed
@@ -939,9 +923,10 @@ func (s *Server) handleRelease(p ReleaseRequest) (*Empty, error) {
 	if err := s.verify(p.Credential); err != nil {
 		return nil, err
 	}
-	var entry *dedupEntry
+	var key string
 	if p.IdempotencyKey != "" {
-		e, claimed := s.dedup.claim("release:" + p.IdempotencyKey)
+		key = "release:" + p.IdempotencyKey
+		e, claimed := s.dedup.claim(key)
 		if !claimed {
 			<-e.done
 			s.metrics.dedupReplays.With(MethodRelease).Inc()
@@ -951,7 +936,6 @@ func (s *Server) handleRelease(p ReleaseRequest) (*Empty, error) {
 			}
 			return &Empty{}, nil
 		}
-		entry = e
 	}
 	var svs []planetlab.Sliver
 	for _, rec := range p.Slivers {
@@ -968,24 +952,18 @@ func (s *Server) handleRelease(p ReleaseRequest) (*Empty, error) {
 	// also settles the lease so released slivers are not re-freed at
 	// expiry.
 	s.storeLock()
-	removed := s.leases.trim(p.SliceName, svs)
-	s.auth.ReleaseSlivers(removed)
-	if s.store != nil && (len(removed) > 0 || p.IdempotencyKey != "") {
-		rec := Record{Op: OpRelease, Slice: p.SliceName, Slivers: toRecords(s.auth.Name, removed)}
-		if p.IdempotencyKey != "" {
-			rec.Key = "release:" + p.IdempotencyKey
-		}
-		if aerr := s.storeAppend(rec); aerr != nil {
+	defer s.storeUnlock()
+	rec := Record{Op: OpRelease, Slice: p.SliceName, Key: key,
+		Slivers: toRecords(s.auth.Name, s.leases.held(p.SliceName, svs))}
+	if len(rec.Slivers) > 0 || key != "" {
+		if err := s.storeAppend(rec); err != nil {
 			// A release cannot be undone without re-placing, so prefer
 			// availability: the worst a lost release record costs is
 			// capacity held until the lease TTL reaps it after recovery.
-			s.log.Errorf("sfa[%s]: wal append (release %s): %v", s.auth.Name, p.SliceName, aerr)
+			s.log.Errorf("sfa[%s]: wal append (release %s): %v", s.auth.Name, p.SliceName, err)
 		}
 	}
-	if entry != nil {
-		entry.finish(&Empty{}, "")
-	}
-	s.storeUnlock()
+	_ = s.apply(rec)
 	return &Empty{}, nil
 }
 
@@ -1102,65 +1080,36 @@ func (s *Server) handleCreateSlice(p SliceRequest) (*SliceResponse, error) {
 		return nil, fmt.Errorf("federation can offer %d sites, slice needs %d", sitesGot, p.MinSites)
 	}
 
-	slice := &planetlab.Slice{
-		Spec:    planetlab.SliceSpec{Name: p.Name, Owner: p.Owner, MinSites: p.MinSites, MaxSites: p.MaxSites, SliversPerSite: per},
-		Slivers: localSlivers,
-	}
-	s.storeLock()
-	if err := s.auth.AdoptSlice(slice); err != nil {
-		s.storeUnlock()
-		abort()
-		return nil, err
-	}
-	s.mu.Lock()
-	s.remoteRefs[p.Name] = remote
-	s.embedded++
-	s.usage[s.auth.Name] += len(localSlivers)
-	for _, sv := range remote {
-		s.usage[sv.Authority]++
-	}
-	s.mu.Unlock()
-	var expiry time.Time
+	rec := Record{Op: OpCreateSlice, Slice: p.Name,
+		Spec:    &SliceSpecState{Name: p.Name, Owner: p.Owner, MinSites: p.MinSites, MaxSites: p.MaxSites, SliversPerSite: per},
+		Slivers: toRecords(s.auth.Name, localSlivers), Remote: remote}
 	if p.TTLSeconds > 0 {
 		// Lease the whole slice for the experiment's holding time; the
 		// reaper deletes it (and releases remote slivers) at expiry.
-		expiry = s.cfg.Now().Add(time.Duration(p.TTLSeconds * float64(time.Second)))
-		s.leases.add(p.Name, leaseSlice, "", nil, expiry)
+		rec.Expiry = s.cfg.Now().Add(time.Duration(p.TTLSeconds * float64(time.Second))).UnixNano()
 	}
-	if s.store != nil {
-		rec := Record{Op: OpCreateSlice, Slice: p.Name, Spec: specState(slice.Spec),
-			Slivers: toRecords(s.auth.Name, localSlivers), Remote: remote}
-		if !expiry.IsZero() {
-			rec.Expiry = expiry.UnixNano()
-		}
-		if aerr := s.storeAppend(rec); aerr != nil {
-			// Undo the commit so memory never acknowledges state the log
-			// lost: delete the slice (frees local slivers), drop the lease
-			// and refs, then release remote slivers outside the lock.
-			_ = s.auth.DeleteSlice(p.Name)
-			s.leases.remove(p.Name)
-			s.mu.Lock()
-			delete(s.remoteRefs, p.Name)
-			s.embedded--
-			s.usage[s.auth.Name] -= len(localSlivers)
-			for _, sv := range remote {
-				s.usage[sv.Authority]--
-			}
-			s.mu.Unlock()
-			s.storeUnlock()
-			s.releaseRemote(p.Name, remote)
-			return nil, fmt.Errorf("durable log append: %v", aerr)
-		}
+	s.storeLock()
+	if _, exists := s.auth.GetSlice(p.Name); exists {
+		s.storeUnlock()
+		abort()
+		return nil, fmt.Errorf("planetlab: slice %s already exists", p.Name)
 	}
+	if err := s.storeAppend(rec); err != nil {
+		s.storeUnlock()
+		abort()
+		return nil, fmt.Errorf("durable log append: %v", err)
+	}
+	// Without a store a concurrent create of the same name can still win
+	// the adoption; with one, durableMu made the check above final.
+	err := s.apply(rec)
 	s.storeUnlock()
+	if err != nil {
+		abort()
+		return nil, err
+	}
 
 	resp := &SliceResponse{Name: p.Name, Sites: sitesGot}
-	for _, sv := range localSlivers {
-		resp.Slivers = append(resp.Slivers, SliverRecord{
-			Authority: s.auth.Name, SiteID: sv.SiteID, NodeID: sv.NodeID,
-		})
-	}
-	resp.Slivers = append(resp.Slivers, remote...)
+	resp.Slivers = append(append(resp.Slivers, rec.Slivers...), remote...)
 	return resp, nil
 }
 
@@ -1169,20 +1118,18 @@ func (s *Server) handleDeleteSlice(p DeleteRequest) (*Empty, error) {
 		return nil, err
 	}
 	s.storeLock()
-	if err := s.auth.DeleteSlice(p.Name); err != nil {
+	if _, ok := s.auth.GetSlice(p.Name); !ok {
 		s.storeUnlock()
-		return nil, err
+		return nil, fmt.Errorf("planetlab: no slice %s", p.Name)
 	}
-	s.leases.remove(p.Name)
-	s.mu.Lock()
-	remote := s.remoteRefs[p.Name]
-	delete(s.remoteRefs, p.Name)
-	s.mu.Unlock()
-	if aerr := s.storeAppend(Record{Op: OpDeleteSlice, Slice: p.Name}); aerr != nil {
+	remote := s.remoteRefsOf(p.Name)
+	rec := Record{Op: OpDeleteSlice, Slice: p.Name}
+	if err := s.storeAppend(rec); err != nil {
 		// The deletion is not undoable; a lost delete record at worst
 		// resurrects the slice at recovery until its lease expires.
-		s.log.Errorf("sfa[%s]: wal append (delete %s): %v", s.auth.Name, p.Name, aerr)
+		s.log.Errorf("sfa[%s]: wal append (delete %s): %v", s.auth.Name, p.Name, err)
 	}
+	_ = s.apply(rec)
 	s.storeUnlock()
 	s.releaseRemote(p.Name, remote)
 	return &Empty{}, nil
@@ -1468,10 +1415,14 @@ func (s *Server) snapshotState() State {
 }
 
 // Restore loads recovered durable state into a freshly built server. It
-// must run before Start, while nothing else touches the server. Lease
+// must run before Start, while nothing else touches the server. It first
+// loads the snapshot — the inverse of snapshotState — then replays the log
+// tail through apply, charging each placement's recorded nodes first. Lease
 // expiries are absolute timestamps, so holdings that expired during the
 // outage are reaped on the first reaper tick after Start rather than
-// silently resurrected.
+// silently resurrected. Peers first met after a restore start down (see
+// healthTracker.ensure), so reconciliation retires any slivers a peer
+// acknowledged for a slice whose commit the crash lost.
 func (s *Server) Restore(st *State) error {
 	if st == nil {
 		return nil
@@ -1498,17 +1449,11 @@ func (s *Server) Restore(st *State) error {
 	}
 	s.mu.Unlock()
 	for _, l := range st.Leases {
+		// A slice lease carries slivers only when a reserve merged into
+		// it; either way the lease's own slivers are charged here.
 		slivers := toSlivers(l.Slice, l.Slivers)
-		if leaseKind(l.Kind) == leaseReserve {
-			// Reserve holdings carry their own placements; slice leases'
-			// slivers were restored with the slice above.
-			s.auth.RestoreSlivers(slivers)
-		}
-		var expiry time.Time
-		if l.Expiry != 0 {
-			expiry = time.Unix(0, l.Expiry)
-		}
-		s.leases.install(l.Slice, leaseKind(l.Kind), l.Holder, slivers, expiry)
+		s.auth.RestoreSlivers(slivers)
+		s.leases.add(l.Slice, leaseKind(l.Kind), l.Holder, slivers, expiryTime(l.Expiry))
 	}
 	for _, e := range st.Dedup {
 		var resp interface{}
@@ -1520,10 +1465,19 @@ func (s *Server) Restore(st *State) error {
 		default:
 			resp = &ReserveResponse{Slivers: e.Slivers}
 		}
-		s.dedup.restore(e.Key, resp, e.Err)
+		s.dedup.complete(e.Key, resp, e.Err)
 	}
-	s.log.Infof("sfa[%s]: restored durable state: %d slices, %d leases, %d dedup keys, seq %d",
-		s.auth.Name, len(st.Slices), len(st.Leases), len(st.Dedup), st.Seq)
+	for i, rec := range st.tail {
+		if rec.Op == OpReserve || rec.Op == OpCreateSlice {
+			s.auth.RestoreSlivers(toSlivers(rec.Slice, rec.Slivers))
+		}
+		if err := s.apply(rec); err != nil {
+			return fmt.Errorf("sfa: replay log record %d after the snapshot: %w", i+1, err)
+		}
+	}
+	s.health.resumed = true
+	s.log.Infof("sfa[%s]: restored durable state: snapshot of %d slices, %d leases, %d dedup keys, seq %d; replayed %d log records",
+		s.auth.Name, len(st.Slices), len(st.Leases), len(st.Dedup), st.Seq, len(st.tail))
 	return nil
 }
 

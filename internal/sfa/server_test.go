@@ -18,7 +18,7 @@ func quietLog(string, ...interface{}) {}
 
 // buildAuthority creates an authority with the given number of sites, each
 // with nodes*capacity sliver slots.
-func buildAuthority(t *testing.T, name string, sites, nodes, capacity int) *planetlab.Authority {
+func buildAuthority(t testing.TB, name string, sites, nodes, capacity int) *planetlab.Authority {
 	t.Helper()
 	a := planetlab.NewAuthority(name)
 	for s := 0; s < sites; s++ {

@@ -3,6 +3,8 @@ package sfa
 import (
 	"fmt"
 	"sort"
+	"strings"
+	"time"
 
 	"fedshare/internal/planetlab"
 )
@@ -128,24 +130,28 @@ type DedupState struct {
 type State struct {
 	// Seq is the idempotency-generation high-water mark.
 	Seq uint64 `json:"seq"`
-	// Slices, Leases sorted by slice name; Dedup sorted by key.
+	// Slices, Leases sorted by slice name; Dedup in completion order,
+	// oldest first, which is the table's eviction order.
 	Slices   []SliceState   `json:"slices,omitempty"`
 	Leases   []LeaseState   `json:"leases,omitempty"`
 	Dedup    []DedupState   `json:"dedup,omitempty"`
 	Usage    map[string]int `json:"usage,omitempty"`
 	Embedded int            `json:"embedded,omitempty"`
+
+	// tail holds the log records written after this snapshot, in log
+	// order; Restore replays them through the server's apply. It is never
+	// part of a snapshot.
+	tail []Record
 }
 
-// canonicalize sorts the state's slices into their documented order and
-// normalizes empty collections to nil, so states built by replay, by live
-// capture, or by a JSON round trip all compare equal with
-// reflect.DeepEqual. Dedup is sorted by key (not table FIFO order):
-// concurrent executions may log in a different order than they claimed
-// keys, and only the set of outcomes is part of durable state.
+// canonicalize sorts the state's slices and leases into their documented
+// order and normalizes empty collections to nil, so states built by replay,
+// by live capture, or by a JSON round trip all compare equal with
+// reflect.DeepEqual. Dedup keeps its order: with a store, outcomes complete
+// in log order, and that order decides which keys the bounded table evicts.
 func (st *State) canonicalize() {
 	sort.Slice(st.Slices, func(i, j int) bool { return st.Slices[i].Spec.Name < st.Slices[j].Spec.Name })
 	sort.Slice(st.Leases, func(i, j int) bool { return st.Leases[i].Slice < st.Leases[j].Slice })
-	sort.Slice(st.Dedup, func(i, j int) bool { return st.Dedup[i].Key < st.Dedup[j].Key })
 	if len(st.Slices) == 0 {
 		st.Slices = nil
 	}
@@ -160,116 +166,83 @@ func (st *State) canonicalize() {
 	}
 }
 
-// findLease returns the index of slice's lease entry, or -1.
-func (st *State) findLease(slice string) int {
-	for i := range st.Leases {
-		if st.Leases[i].Slice == slice {
-			return i
-		}
+// apply turns one mutation record into its state change, and is the only
+// code that does. Live handlers, the reaper, nextGen and amendIntent decide
+// what happens, build the record, append it, then apply it; Restore replays
+// the log tail through it. The one live/replay difference is who charged
+// the nodes a record's slivers occupy: live, placement did so before the
+// record existed; in replay, Restore charges the recorded slivers first.
+// An error means the record cannot follow the current state.
+func (s *Server) apply(rec Record) error {
+	if rec.Key != "" && !strings.HasPrefix(rec.Key, rec.Op+":") {
+		// Keys are namespaced by method; a snapshot's dedup entries are
+		// restored by that namespace.
+		return fmt.Errorf("sfa: %s record carries key %q of another method", rec.Op, rec.Key)
 	}
-	return -1
-}
-
-// dropLease removes slice's lease entry if present.
-func (st *State) dropLease(slice string) {
-	if i := st.findLease(slice); i >= 0 {
-		st.Leases = append(st.Leases[:i], st.Leases[i+1:]...)
-	}
-}
-
-// addDedup records a completed keyed outcome (no-op for unkeyed records).
-func (st *State) addDedup(key, errMsg string, slivers []SliverRecord) {
-	if key == "" {
-		return
-	}
-	st.Dedup = append(st.Dedup, DedupState{Key: key, Err: errMsg, Slivers: slivers})
-}
-
-// applyRecord advances st by one mutation record. It is the pure-data
-// twin of the server's live handlers; TestRecoveryEquivalence pins the
-// two to each other.
-func (st *State) applyRecord(rec Record) error {
 	switch rec.Op {
 	case OpGen:
-		if rec.Gen > st.Seq {
-			st.Seq = rec.Gen
+		// A live draw already advanced seq to Gen (see nextGen), so only
+		// replay, which runs alone, ever stores here.
+		if rec.Gen > s.seq.Load() {
+			s.seq.Store(rec.Gen)
 		}
 	case OpReserve:
-		if rec.Err == "" && len(rec.Slivers) > 0 {
-			// Mirror leaseTable.add: merge slivers, keep the later expiry,
-			// zero expiry (indefinite) dominates.
-			if i := st.findLease(rec.Slice); i >= 0 {
-				l := &st.Leases[i]
-				l.Slivers = append(l.Slivers, rec.Slivers...)
-				if l.Expiry == 0 || rec.Expiry == 0 {
-					l.Expiry = 0
-				} else if rec.Expiry > l.Expiry {
-					l.Expiry = rec.Expiry
-				}
-			} else {
-				st.Leases = append(st.Leases, LeaseState{
-					Slice: rec.Slice, Kind: int(leaseReserve), Holder: rec.Holder,
-					Expiry: rec.Expiry, Slivers: rec.Slivers,
-				})
-			}
+		if len(rec.Slivers) > 0 {
+			s.leases.add(rec.Slice, leaseReserve, rec.Holder, toSlivers(rec.Slice, rec.Slivers), expiryTime(rec.Expiry))
 		}
-		st.addDedup(rec.Key, rec.Err, rec.Slivers)
+		if rec.Key != "" {
+			var resp interface{}
+			if rec.Err == "" {
+				resp = &ReserveResponse{Slivers: rec.Slivers}
+			}
+			s.dedup.complete(rec.Key, resp, rec.Err)
+		}
 	case OpRelease:
-		// Mirror leaseTable.trim: the record already names exactly the
-		// slivers that were freed.
-		if i := st.findLease(rec.Slice); i >= 0 && st.Leases[i].Kind == int(leaseReserve) {
-			l := &st.Leases[i]
-			for _, req := range rec.Slivers {
-				for j, sv := range l.Slivers {
-					if sv.SiteID == req.SiteID && sv.NodeID == req.NodeID {
-						l.Slivers = append(l.Slivers[:j], l.Slivers[j+1:]...)
-						break
-					}
-				}
-			}
-			if len(l.Slivers) == 0 {
-				st.dropLease(rec.Slice)
-			}
+		s.auth.ReleaseSlivers(s.leases.trim(rec.Slice, toSlivers(rec.Slice, rec.Slivers)))
+		if rec.Key != "" {
+			s.dedup.complete(rec.Key, &Empty{}, rec.Err)
 		}
-		st.addDedup(rec.Key, rec.Err, nil)
 	case OpCreateSlice:
 		if rec.Spec == nil {
 			return fmt.Errorf("sfa: %s record for %q lacks a spec", rec.Op, rec.Slice)
 		}
-		st.Slices = append(st.Slices, SliceState{
-			Spec: *rec.Spec, Local: rec.Slivers, Remote: rec.Remote,
-		})
-		st.Embedded++
-		if st.Usage == nil {
-			st.Usage = map[string]int{}
+		name := rec.Spec.Name
+		if err := s.auth.AdoptSlice(&planetlab.Slice{Spec: rec.Spec.spec(), Slivers: toSlivers(name, rec.Slivers)}); err != nil {
+			return err
 		}
-		if len(rec.Slivers) > 0 {
-			// Local slivers all carry the embedding authority's name.
-			st.Usage[rec.Slivers[0].Authority] += len(rec.Slivers)
+		s.mu.Lock()
+		if len(rec.Remote) > 0 {
+			s.remoteRefs[name] = rec.Remote
 		}
+		s.embedded++
+		s.usage[s.auth.Name] += len(rec.Slivers)
 		for _, sv := range rec.Remote {
-			st.Usage[sv.Authority]++
+			s.usage[sv.Authority]++
 		}
+		s.mu.Unlock()
 		if rec.Expiry != 0 {
-			st.Leases = append(st.Leases, LeaseState{
-				Slice: rec.Spec.Name, Kind: int(leaseSlice), Expiry: rec.Expiry,
-			})
+			s.leases.add(name, leaseSlice, "", nil, expiryTime(rec.Expiry))
 		}
 	case OpDeleteSlice:
-		st.deleteSlice(rec.Slice)
+		s.dropSlice(rec.Slice)
 	case OpAmendRemote:
-		for i := range st.Slices {
-			if st.Slices[i].Spec.Name == rec.Slice {
-				st.Slices[i].Remote = rec.Remote
-				break
+		s.mu.Lock()
+		if _, ok := s.remoteRefs[rec.Slice]; ok {
+			if len(rec.Remote) == 0 {
+				delete(s.remoteRefs, rec.Slice)
+			} else {
+				s.remoteRefs[rec.Slice] = rec.Remote
 			}
 		}
+		s.mu.Unlock()
 	case OpExpire:
 		switch leaseKind(rec.Kind) {
 		case leaseReserve:
-			st.dropLease(rec.Slice)
+			if l := s.leases.take(rec.Slice); l != nil {
+				s.auth.ReleaseSlivers(l.slivers)
+			}
 		case leaseSlice:
-			st.deleteSlice(rec.Slice)
+			s.dropSlice(rec.Slice)
 		default:
 			return fmt.Errorf("sfa: expire record with unknown lease kind %d", rec.Kind)
 		}
@@ -279,16 +252,26 @@ func (st *State) applyRecord(rec Record) error {
 	return nil
 }
 
-// deleteSlice removes a slice and its lease. Usage is cumulative and
-// survives deletion, exactly as in the live server.
-func (st *State) deleteSlice(name string) {
-	for i := range st.Slices {
-		if st.Slices[i].Spec.Name == name {
-			st.Slices = append(st.Slices[:i], st.Slices[i+1:]...)
-			break
-		}
+// dropSlice deletes a slice, its lease and its peer references. Slivers a
+// reserve merged into the lease under the slice's name are freed with it,
+// so node load never counts a sliver nothing tracks. Usage is cumulative
+// and survives deletion.
+func (s *Server) dropSlice(name string) {
+	_ = s.auth.DeleteSlice(name) // callers decided the slice exists
+	if l := s.leases.take(name); l != nil {
+		s.auth.ReleaseSlivers(l.slivers)
 	}
-	st.dropLease(name)
+	s.mu.Lock()
+	delete(s.remoteRefs, name)
+	s.mu.Unlock()
+}
+
+// expiryTime converts a recorded UnixNano expiry; 0 means no lease.
+func expiryTime(ns int64) time.Time {
+	if ns == 0 {
+		return time.Time{}
+	}
+	return time.Unix(0, ns)
 }
 
 // --- Conversions between wire records and substrate slivers ---
