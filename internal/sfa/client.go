@@ -200,7 +200,7 @@ func (c *Client) callOnce(method string, params, result interface{}) error {
 		c.breakConn()
 		return fmt.Errorf("sfa: set deadline: %w", err)
 	}
-	if err := WriteFrame(c.w, req); err != nil {
+	if err := writeFrame(c.w, req, true); err != nil {
 		c.breakConn()
 		return err
 	}

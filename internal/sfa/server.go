@@ -547,7 +547,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		resp := s.dispatch(req)
-		if err := WriteFrame(w, resp); err != nil {
+		if err := writeFrame(w, resp, true); err != nil {
 			return
 		}
 		if err := w.Flush(); err != nil {

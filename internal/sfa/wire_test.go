@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -118,23 +119,56 @@ func TestCredentialTamper(t *testing.T) {
 }
 
 func BenchmarkFrameRoundTrip(b *testing.B) {
-	env := &Envelope{ID: 7, Method: MethodListResources, Params: marshal(ResourceList{
-		Authority: "PLE",
-		Sites: []SiteResource{
-			{SiteID: "s1", Name: "Site 1", Nodes: 2, Capacity: 20, Free: 10},
-			{SiteID: "s2", Name: "Site 2", Nodes: 4, Capacity: 40, Free: 40},
-		},
-	})}
-	var buf bytes.Buffer
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := WriteFrame(&buf, env); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ReadFrame(&buf); err != nil {
-			b.Fatal(err)
-		}
+	cases := []struct {
+		name string
+		env  *Envelope
+	}{
+		{"ListResources", &Envelope{ID: 7, Method: MethodListResources, Params: marshal(ResourceList{
+			Authority: "PLE",
+			Sites: []SiteResource{
+				{SiteID: "s1", Name: "Site 1", Nodes: 2, Capacity: 20, Free: 10},
+				{SiteID: "s2", Name: "Site 2", Nodes: 4, Capacity: 40, Free: 40},
+			},
+		})}},
+		{"ReserveRequest", &Envelope{ID: 8, Method: MethodReserve, Params: marshal(ReserveRequest{
+			Credential: seedCredential, SliceName: "exp-1", Sites: 2, PerSite: 1,
+			IdempotencyKey: "PLC/exp-1#3/reserve", TTLSeconds: 30,
+		})}},
+		{"ReserveResponse", &Envelope{ID: 8, Result: marshal(ReserveResponse{Slivers: seedSlivers})}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var buf bytes.Buffer
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := WriteFrame(&buf, c.env); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := ReadFrame(&buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestReadFrameAllocatesAsBytesArrive announces a MaxFrameSize payload,
+// sends 10 bytes and hangs up: the reader must not have allocated the
+// announced size for bytes that never came.
+func TestReadFrameAllocatesAsBytesArrive(t *testing.T) {
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], MaxFrameSize)
+	stream := append(hdr[:], make([]byte, 10)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrame(bytes.NewReader(stream))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a truncated frame must fail")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("ReadFrame allocated %d bytes for a 10-byte partial payload", got)
 	}
 }
 

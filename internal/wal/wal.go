@@ -40,6 +40,8 @@ const (
 	// MaxRecordSize bounds one record so a corrupt length header cannot
 	// force an unbounded allocation during recovery.
 	MaxRecordSize = 16 << 20
+	// maxReusedFrame caps the encode buffer a Log keeps between appends.
+	maxReusedFrame = 64 << 10
 )
 
 // FsyncPolicy selects when appended records are forced to stable storage.
@@ -140,6 +142,7 @@ type Log struct {
 	seq      uint64 // last assigned sequence number
 	dirty    bool   // bytes written since the last fsync
 	closed   bool
+	frame    []byte // Append's encode buffer, reused under mu
 
 	stopFlush chan struct{}
 	flushDone chan struct{}
@@ -211,16 +214,17 @@ func (l *Log) listFiles(prefix, suffix string) ([]uint64, error) {
 
 // --- Frame encoding ---
 
-// appendFrame encodes one record (seq, data) onto buf and returns it.
+// appendFrame encodes one record (seq, data) onto buf and returns it. The
+// frame is built in place: header, sequence number, data, then the
+// checksum over the body is filled into the header.
 func appendFrame(buf []byte, seq uint64, data []byte) []byte {
-	body := make([]byte, seqSize+len(data))
-	binary.BigEndian.PutUint64(body, seq)
-	copy(body[seqSize:], data)
-	var hdr [headerSize]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(body)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(body))
-	buf = append(buf, hdr[:]...)
-	return append(buf, body...)
+	start := len(buf)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(seqSize+len(data)))
+	buf = append(buf, 0, 0, 0, 0) // checksum, filled once the body is in place
+	buf = binary.BigEndian.AppendUint64(buf, seq)
+	buf = append(buf, data...)
+	binary.BigEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(buf[start+headerSize:]))
+	return buf
 }
 
 // readFrame reads one frame from r. It returns io.EOF at a clean end and
@@ -424,8 +428,12 @@ func (l *Log) Append(data []byte) (uint64, error) {
 		return 0, fmt.Errorf("wal: append to closed log")
 	}
 	seq := l.seq + 1
-	frame := appendFrame(nil, seq, data)
-	if _, err := l.f.Write(frame); err != nil {
+	l.frame = appendFrame(l.frame[:0], seq, data)
+	_, err := l.f.Write(l.frame)
+	if cap(l.frame) > maxReusedFrame {
+		l.frame = nil // do not pin one outsized record's buffer
+	}
+	if err != nil {
 		// A short write leaves a torn tail; recovery heals it, but this
 		// log can no longer guarantee ordering. Do not advance seq.
 		return 0, fmt.Errorf("wal: append: %w", err)

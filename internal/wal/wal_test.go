@@ -469,3 +469,22 @@ func TestFrameEncodingIsStable(t *testing.T) {
 		t.Fatalf("readFrame = %d %q %d %v", seq, data, n, err)
 	}
 }
+
+// BenchmarkAppend appends 256-byte records to a log whose background fsync
+// is paced far beyond the run, so it measures framing and the write alone.
+func BenchmarkAppend(b *testing.B) {
+	l, _, err := Open(Options{Dir: b.TempDir(), Interval: time.Hour, Registry: obs.NewRegistry()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	data := bytes.Repeat([]byte("r"), 256)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := l.Append(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
